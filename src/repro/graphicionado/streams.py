@@ -25,8 +25,8 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..core.reduce_pipeline import StallingReducePipeline
 from ..graph.csr import CSRGraph
+from ..kernels.reduce import split_ops, stalling_run
 from ..vcpm.spec import AlgorithmSpec
 from .config import GRAPHICIONADO_CONFIG, GraphicionadoConfig
 
@@ -142,12 +142,8 @@ class GraphicionadoStreams:
                     edges_processed += 1
 
             # --- Reduce engines: stall-on-conflict pipelines ---
-            # Tier-routed: the scalar pipeline is the reference; the
-            # vectorized/compiled kernels are bit-identical (oracle-
-            # checked) renderings of the same recurrence + fold.
-            from ..kernels.tiers import active_tier
-
-            tier = active_tier()
+            # The vectorized kernel is a bit-identical (oracle-checked)
+            # rendering of StallingReducePipeline's recurrence + fold.
             for ops in per_engine_ops:
                 if not ops:
                     continue
@@ -155,15 +151,8 @@ class GraphicionadoStreams:
                     addr: t_prop.get(addr, spec.reduce_op.identity)
                     for addr, _ in ops
                 }
-                if tier == "scalar":
-                    outcome = StallingReducePipeline(spec.reduce_op).run(ops, seeded)
-                else:
-                    from ..kernels.reduce import split_ops, stalling_run
-
-                    addrs, values = split_ops(ops)
-                    outcome = stalling_run(
-                        addrs, values, spec.reduce_op, vb=seeded, tier=tier
-                    )
+                addrs, values = split_ops(ops)
+                outcome = stalling_run(addrs, values, spec.reduce_op, vb=seeded)
                 stall_cycles += outcome.stall_cycles
                 t_prop.update(outcome.vb)
 

@@ -1,18 +1,19 @@
 """Cross-engine validation: every execution path computes the same thing.
 
-The repository has five ways to execute a VCPM algorithm:
+The repository has six ways to execute a VCPM algorithm:
 
 1. the vectorized functional engine (Algorithm 1),
 2. the scalar optimized programming model (Algorithm 2),
-3. pull mode,
-4. functionally-sliced mode,
-5. the component-level micro-architecture path.
+3. the batched rendering of Algorithm 2,
+4. pull mode,
+5. functionally-sliced mode (the partitioned engine with one shard and a
+   small Vertex Buffer),
+6. the component-level micro-architecture path.
 
 They exist for different purposes (speed, fidelity, validation), but they
 must agree bit-for-bit on properties.  This module sweeps random graphs
-through all five -- plus the compiled rendering of Algorithm 2 whenever a
-native kernel provider is available -- and reports any divergence: the
-repository's self-check, exposed as ``python -m repro validate``.
+through all six and reports any divergence: the repository's self-check,
+exposed as ``python -m repro validate``.
 """
 
 from __future__ import annotations
@@ -25,12 +26,11 @@ import numpy as np
 from ..graph.csr import CSRGraph
 from ..graph.generators import power_law_graph, uniform_random_graph
 from ..graphdyns.accelerator import GraphDynS
-from ..kernels.tiers import compiled_available
 from ..vcpm.algorithms import ALGORITHMS
 from ..vcpm.engine import run_vcpm
 from ..vcpm.optimized import run_optimized
+from ..vcpm.partitioned import run_vcpm_partitioned
 from ..vcpm.pull import run_vcpm_pull
-from ..vcpm.sliced import run_vcpm_sliced
 
 __all__ = ["ValidationOutcome", "validate_engines", "validate_all"]
 
@@ -69,25 +69,23 @@ def validate_engines(
     )
     reference = _canon(baseline.properties)
 
-    candidates = {
-        "optimized": run_optimized(
+    def optimized(kernel: str) -> np.ndarray:
+        return run_optimized(
             graph, spec, source=source, max_iterations=max_iterations,
-            **({"pr_tolerance": 0.0} if "pr_tolerance" in kwargs else {}),
-        ).properties,
+            kernel=kernel, **kwargs,
+        ).properties
+
+    candidates = {
+        "optimized": optimized("scalar"),
+        "batched": optimized("batched"),
         "pull": run_vcpm_pull(
             graph, spec, source=source, max_iterations=max_iterations, **kwargs
         ).properties,
-        "sliced": run_vcpm_sliced(
-            graph, spec, vb_capacity_bytes=max(graph.num_vertices, 8),
+        "sliced": run_vcpm_partitioned(
+            graph, spec, shards=1, vb_capacity_bytes=max(graph.num_vertices, 8),
             source=source, max_iterations=max_iterations, **kwargs
         ).properties,
     }
-    if compiled_available():
-        candidates["compiled"] = run_optimized(
-            graph, spec, source=source, max_iterations=max_iterations,
-            kernel="compiled",
-            **({"pr_tolerance": 0.0} if "pr_tolerance" in kwargs else {}),
-        ).properties
     if include_component_level:
         candidates["component"] = GraphDynS().run_component_level(
             graph, spec, source=source, max_iterations=max_iterations

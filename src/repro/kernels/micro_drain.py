@@ -117,18 +117,14 @@ def simulate_scatter_microarch_vectorized(
     config: GraphDynSConfig = DEFAULT_CONFIG,
     ue_queue_depth: int = 4,
     max_cycles: int = 10_000_000,
-    event_engine: str = "python",
 ) -> MicroScatterResult:
     """Vectorized, bit-identical ``simulate_scatter_microarch``.
 
-    ``event_engine`` selects the exact-replay implementation used when
-    back-pressure invalidates the closed-form schedule: ``"python"`` (the
-    loop below) or ``"compiled"`` (the native event loop of the compiled
-    kernel tier, falling back to Python with a warn-once
-    :class:`~repro.kernels.tiers.KernelFallbackWarning` when no provider
-    is available).  Taking the fallback at all is itself reported once
-    per process via the same warning type -- the closed form is the fast
-    path and silently losing it used to be invisible.
+    When back-pressure invalidates the closed-form schedule the stream is
+    replayed through the exact event loop above, and that fallback is
+    reported once per process with a
+    :class:`~repro.kernels.tiers.KernelFallbackWarning`, so losing the
+    fast path is visible.
     """
     num_ues = config.num_ues
     n_simt = config.n_simt
@@ -165,19 +161,6 @@ def simulate_scatter_microarch_vectorized(
         "exact event loop instead. Results are identical; only the "
         "performance tier changed.",
     )
-    if event_engine == "compiled":
-        from . import compiled as _compiled
-
-        if _compiled.get_provider() is not None:
-            return _compiled.micro_drain_compiled(
-                streams, num_ues, n_simt, ue_queue_depth, max_cycles
-            )
-        warn_fallback(
-            "micro_drain:compiled-unavailable",
-            "compiled micro-drain event loop requested but no native "
-            "provider is available; using the Python event loop. "
-            "Results are identical.",
-        )
     offsets = np.cumsum([0] + [s.size for s in streams])
     ue_streams = [
         ue[offsets[i]:offsets[i + 1]].tolist() for i in range(len(streams))

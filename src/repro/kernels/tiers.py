@@ -1,66 +1,43 @@
-"""Three-level kernel tier registry: ``scalar`` -> ``vectorized`` -> ``compiled``.
+"""Kernel rendering names and the warn-once fallback warning.
 
-Every hot loop in the model ships in up to three implementations that are
-bit-identical under the hypothesis equivalence oracle:
+Every hot loop in the model ships in two bit-identical renderings:
 
 * ``scalar`` -- the retained pure-Python references (dataclasses, dicts,
   deques).  Slowest, most readable, the ground truth.
-* ``vectorized`` -- the PR 2 numpy closed forms and batched folds.
-* ``compiled`` -- native-code kernels (numba ``@njit`` when importable,
-  else a cffi/C extension built on first use; see
-  :mod:`repro.kernels.compiled`).  Optional: when no provider works the
-  tier degrades to ``vectorized`` with a single
-  :class:`KernelFallbackWarning`.
+* ``vectorized`` -- the numpy closed forms and batched folds of this
+  package.
 
-Selection order (first hit wins):
-
-1. an explicit value passed at a call seam (``kernel=``, ``engine=``,
-   ``--kernel-tier``, ``RunRequest.kernel_tier``);
-2. the ambient tier set by :func:`use_tier` (the harness wraps each cell
-   execution in this, so shard workers and backends inherit it);
-3. the ``REPRO_KERNEL_TIER`` environment variable;
-4. ``auto``: ``compiled`` when a provider is available, else
-   ``vectorized``.
-
-The tier is an *execution strategy*, never part of a cache key: compiled
-and interpreted runs share cache entries byte for byte (same precedent as
-``storage``/``shards`` in PR 5).
+The call seams that offer both (``run_optimized(kernel=...)`` and
+``simulate_scatter_microarch(engine=...)``) validate their argument
+through :func:`resolve_tier`, which also accepts the seams' historical
+names ``event`` and ``batched``.
 """
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
-import os
 import threading
-from typing import Iterator, Optional, Set
+from typing import Optional, Set
 
-TIERS = ("scalar", "vectorized", "compiled")
-AUTO = "auto"
-ENV_TIER = "REPRO_KERNEL_TIER"
+TIERS = ("scalar", "vectorized")
 
-# Aliases accepted at the public seams for backwards compatibility with
-# the pre-tier kernel/engine vocabularies.
-_ALIASES = {
+_NAMES = {
+    None: "vectorized",
+    "auto": "vectorized",
+    "vectorized": "vectorized",
     "batched": "vectorized",  # run_optimized(kernel="batched")
+    "scalar": "scalar",
     "event": "scalar",  # simulate_scatter_microarch(engine="event")
 }
 
 
 class KernelFallbackWarning(RuntimeWarning):
-    """A kernel tier silently downgraded or an exact path replaced a closed form.
+    """An exact path replaced a closed form.
 
-    Raised (warn-once per distinct cause) when:
-
-    * the ``compiled`` tier is requested but no provider is available or
-      native compilation failed -- execution proceeds on ``vectorized``;
-    * a spec/config is outside a kernel's supported envelope (e.g. an
-      Algorithm 2 spec without opcode metadata, or FIFO back-pressure
-      invalidating the closed-form drain schedule) -- execution proceeds
-      on the exact reference path.
-
-    Results are bit-identical either way; the warning only flags that the
-    performance tier differs from what was requested or expected.
+    Raised (warn-once per distinct cause) when an input is outside a
+    kernel's supported envelope -- e.g. FIFO back-pressure invalidating
+    the closed-form Scatter drain schedule -- and execution proceeds on
+    the exact reference path.  Results are bit-identical either way; the
+    warning only flags that the fast path was not taken.
     """
 
 
@@ -85,121 +62,18 @@ def reset_fallback_warnings() -> None:
         _warned.clear()
 
 
-_active_tier: contextvars.ContextVar[Optional[str]] = contextvars.ContextVar(
-    "repro_kernel_tier", default=None
-)
-
-
-def normalize_tier(value: Optional[str]) -> Optional[str]:
-    """Map aliases onto canonical tier names; validate; pass through None/auto."""
-    if value is None:
-        return None
-    tier = _ALIASES.get(value, value)
-    if tier != AUTO and tier not in TIERS:
-        raise ValueError(
-            "unknown kernel tier {!r}; expected one of {} or {!r}".format(
-                value, "/".join(TIERS), AUTO
-            )
-        )
-    return tier
-
-
 def resolve_tier(requested: Optional[str] = None) -> str:
-    """Resolve a tier request to a concrete, runnable tier.
+    """Map a rendering request onto ``"scalar"`` or ``"vectorized"``.
 
-    ``requested`` may be a tier name, an alias, ``"auto"``, ``""`` or
-    ``None``.  Empty/None consults the ambient tier (:func:`use_tier`),
-    then ``$REPRO_KERNEL_TIER``, then falls back to ``auto``.  ``auto``
-    resolves to ``compiled`` when a provider is loadable, else
-    ``vectorized``.  An explicit ``compiled`` request without a provider
-    warns once and resolves to ``vectorized``.
+    ``scalar``/``event`` select the reference; ``None``, ``auto``,
+    ``vectorized`` and ``batched`` select the numpy kernels.  Anything
+    else raises ``ValueError``.
     """
-    tier = normalize_tier(requested or None)
-    if tier is None:
-        tier = normalize_tier(_active_tier.get() or None)
-    if tier is None:
-        tier = normalize_tier(os.environ.get(ENV_TIER) or None) or AUTO
-    if tier == AUTO:
-        return "compiled" if compiled_available() else "vectorized"
-    if tier == "compiled" and not compiled_available():
-        warn_fallback(
-            "tier:compiled-unavailable",
-            "kernel tier 'compiled' requested but no native provider is "
-            "available (numba not importable and cffi/C build failed); "
-            "falling back to the vectorized tier. Results are identical.",
-        )
-        return "vectorized"
-    return tier
-
-
-def active_tier() -> str:
-    """The concrete tier ambient code should run at (resolves auto/env)."""
-    return resolve_tier(None)
-
-
-def set_active_tier(tier: Optional[str]) -> None:
-    """Set the ambient tier for the current context (None clears it)."""
-    _active_tier.set(normalize_tier(tier) if tier else None)
-
-
-@contextlib.contextmanager
-def use_tier(tier: Optional[str]) -> Iterator[str]:
-    """Scope the ambient kernel tier; yields the concrete resolved tier.
-
-    The harness wraps each cell execution in this so every seam that
-    consults :func:`active_tier` (streams pipelines, engine dispatch,
-    shard workers) inherits the request's tier without plumbing a
-    parameter through every call.
-    """
-    token = _active_tier.set(normalize_tier(tier) if tier else None)
     try:
-        yield resolve_tier(tier)
-    finally:
-        _active_tier.reset(token)
-
-
-def compiled_available() -> bool:
-    """True when a compiled-tier provider is loaded (or loadable)."""
-    from . import compiled
-
-    return compiled.get_provider() is not None
-
-
-def compiled_provider_name() -> Optional[str]:
-    """Name of the active compiled provider (``numba``/``cffi``/``python``)."""
-    from . import compiled
-
-    provider = compiled.get_provider()
-    return provider.name if provider is not None else None
-
-
-def compile_seconds() -> Optional[float]:
-    """Wall seconds the in-process provider spent loading/JIT-compiling."""
-    from . import compiled
-
-    return compiled.load_seconds()
-
-
-def warm_compile() -> Optional[float]:
-    """Eagerly load the compiled provider and record obs instruments.
-
-    Triggers provider selection, native compilation (first process ever)
-    or artifact reload (every later process), and a smoke execution of
-    each kernel.  Records ``kernels.compile_s`` (gauge) and bumps the
-    ``kernels.provider.<name>`` counter on the ambient recorder.  Returns
-    the load time in seconds, or ``None`` when no provider is available.
-    The daemon calls this at boot so the first request never pays JIT
-    latency.
-    """
-    from ..obs import get_recorder
-    from . import compiled
-
-    provider = compiled.get_provider()
-    seconds = compiled.load_seconds()
-    rec = get_recorder()
-    if provider is None:
-        rec.counter("kernels.provider.none").add()
-        return None
-    rec.gauge("kernels.compile_s").set(float(seconds if seconds is not None else 0.0))
-    rec.counter("kernels.provider.{}".format(provider.name)).add()
-    return seconds
+        return _NAMES[requested]
+    except (KeyError, TypeError):
+        raise ValueError(
+            "unknown kernel tier {!r}; expected one of {}".format(
+                requested, ", ".join(repr(k) for k in _NAMES if k)
+            )
+        ) from None

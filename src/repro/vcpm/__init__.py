@@ -41,7 +41,6 @@ from .partitioned import (
     scatter_shard_task,
 )
 from .pull import run_vcpm_pull
-from .sliced import run_vcpm_sliced
 from .extensions import (
     DEGREE_COUNT,
     EXTENSION_ALGORITHMS,
@@ -81,7 +80,6 @@ __all__ = [
     "dispatch_scatter",
     "run_optimized",
     "run_vcpm_pull",
-    "run_vcpm_sliced",
     "ShardRunner",
     "ShardScatterTask",
     "run_vcpm_partitioned",

@@ -115,41 +115,13 @@ def run_optimized(
     ``kernel="batched"`` (alias ``"vectorized"``) routes through
     :func:`repro.kernels.run_optimized_batched`, whose array rendering of
     the same stages is bit-identical (asserted in tests) and orders of
-    magnitude faster on proxy-scale graphs.  ``kernel="compiled"`` runs
-    the Scatter/Apply processing stages as native code
-    (:func:`repro.kernels.compiled.run_optimized_compiled`), falling back
-    to the batched kernel with a single
-    :class:`~repro.kernels.tiers.KernelFallbackWarning` when no native
-    provider is available or the spec lacks opcode metadata.
-    ``kernel="auto"`` (or ``None``) resolves through the tier registry
-    (ambient :func:`~repro.kernels.tiers.use_tier` scope, then
-    ``$REPRO_KERNEL_TIER``, then best-available).
+    magnitude faster on proxy-scale graphs.  ``kernel="auto"`` (or
+    ``None``) selects the batched kernel; any other name is rejected by
+    :func:`repro.kernels.tiers.resolve_tier`.
     """
-    from ..kernels.tiers import resolve_tier, warn_fallback
+    from ..kernels.tiers import resolve_tier
 
-    if kernel in (None, "auto", "vectorized", "compiled"):
-        tier = resolve_tier(kernel)
-        kernel = {"scalar": "scalar", "vectorized": "batched", "compiled": "compiled"}[tier]
-    if kernel == "compiled":
-        from ..kernels import compiled as _compiled
-
-        if _compiled.get_provider() is not None and _compiled.alg2_supported(spec):
-            return _compiled.run_optimized_compiled(
-                graph,
-                spec,
-                source=source,
-                max_iterations=max_iterations,
-                v_list_size=v_list_size,
-                pr_tolerance=pr_tolerance,
-            )
-        warn_fallback(
-            "alg2:compiled-unsupported:{}".format(spec.name),
-            "compiled Algorithm 2 kernel unavailable for spec {!r} "
-            "(missing native provider or opcode metadata); falling back "
-            "to the batched kernel. Results are identical.".format(spec.name),
-        )
-        kernel = "batched"
-    if kernel == "batched":
+    if resolve_tier(kernel) == "vectorized":
         from ..kernels.scatter_apply import run_optimized_batched
 
         return run_optimized_batched(
@@ -159,11 +131,6 @@ def run_optimized(
             max_iterations=max_iterations,
             v_list_size=v_list_size,
             pr_tolerance=pr_tolerance,
-        )
-    if kernel != "scalar":
-        raise ValueError(
-            f"unknown kernel {kernel!r}; expected 'scalar', 'batched', "
-            f"'vectorized', 'compiled' or 'auto'"
         )
     num_vertices = graph.num_vertices
     if max_iterations is None:

@@ -13,7 +13,7 @@ from repro.graph import (
 
 @pytest.fixture(autouse=True)
 def _reset_kernel_fallback_warnings():
-    """Reset the kernel tier's warn-once latch between tests.
+    """Reset the kernel fallback warn-once latch between tests.
 
     The latch is process-wide state: without this reset, whether a test
     sees a ``KernelFallbackWarning`` depends on which test triggered the

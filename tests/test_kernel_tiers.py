@@ -1,254 +1,20 @@
-"""The kernel tier registry: selection, fallback, threading, cache identity.
+"""Kernel rendering names: the vocabulary the scalar/vectorized seams accept."""
 
-The compiled tier is an *execution strategy*: it may change how fast a
-cell runs, never what the cell computes or how it is cached.  These
-tests pin that contract from every direction --
-
-* selection order (explicit > ambient ``use_tier`` > ``$REPRO_KERNEL_TIER``
-  > auto) and alias/validation behavior;
-* graceful degradation on a machine with no native toolchain: byte-identical
-  reports, exactly one :class:`KernelFallbackWarning`, no hard dependency
-  (numba/cffi imports are monkeypatched away to simulate that machine);
-* cache identity: ``cache_key`` never varies with the tier, cache entries
-  warm under one tier replay under another, and the envelope records which
-  tier actually produced the entry (attribution, not identity);
-* threading: the ambient tier scopes through services, shard tasks and the
-  daemon, which warm-compiles at boot and reports the tier in its stats.
-"""
-
-import glob
-import json
-import sys
-import warnings
-
-import numpy as np
 import pytest
 
-from repro.harness.service import RunService, canonical_reports_json
-from repro.kernels import compiled as compiled_mod
-from repro.kernels.tiers import (
-    ENV_TIER,
-    TIERS,
-    KernelFallbackWarning,
-    active_tier,
-    compiled_available,
-    normalize_tier,
-    reset_fallback_warnings,
-    resolve_tier,
-    use_tier,
-    warm_compile,
-)
-from repro.vcpm import ALGORITHMS
-from repro.vcpm.partitioned import run_vcpm_partitioned
+from repro.kernels.tiers import TIERS, resolve_tier
 
 
-@pytest.fixture
-def clean_tiers(monkeypatch):
-    """No env overrides, no memoized provider, fresh warn-once state."""
-    monkeypatch.delenv(ENV_TIER, raising=False)
-    monkeypatch.delenv(compiled_mod.ENV_BACKEND, raising=False)
-    reset_fallback_warnings()
-    compiled_mod.reset_provider_cache()
-    yield
-    reset_fallback_warnings()
-    compiled_mod.reset_provider_cache()
-
-
-@pytest.fixture
-def no_provider(clean_tiers, monkeypatch, tmp_path):
-    """Simulate a machine where neither numba nor cffi is importable.
-
-    ``sys.modules[name] = None`` makes ``import name`` raise, which is
-    exactly the failure mode of an uninstalled package; the artifact
-    cache is pointed at an empty directory so no pre-built extension can
-    short-circuit the block.
-    """
-    monkeypatch.setitem(sys.modules, "numba", None)
-    monkeypatch.setitem(sys.modules, "cffi", None)
-    monkeypatch.setenv("REPRO_COMPILE_CACHE", str(tmp_path / "no-artifacts"))
-    compiled_mod.reset_provider_cache()
-    yield
-    compiled_mod.reset_provider_cache()
-
-
-# ----------------------------------------------------------------------
-# Selection order and validation
-# ----------------------------------------------------------------------
 class TestSelection:
     def test_aliases_map_to_canonical_tiers(self):
-        assert normalize_tier("batched") == "vectorized"
-        assert normalize_tier("event") == "scalar"
-        assert normalize_tier("auto") == "auto"
-        assert normalize_tier(None) is None
+        assert resolve_tier("batched") == "vectorized"
+        assert resolve_tier("event") == "scalar"
+        assert resolve_tier("auto") == "vectorized"
+        assert resolve_tier(None) == "vectorized"
+        for tier in TIERS:
+            assert resolve_tier(tier) == tier
 
     def test_unknown_tier_raises(self):
-        with pytest.raises(ValueError):
-            normalize_tier("simd")
-        with pytest.raises(ValueError):
-            resolve_tier("fpga")
-        with pytest.raises(ValueError):
-            RunService(kernel_tier="greenlet")
-
-    def test_explicit_beats_ambient_beats_env(self, clean_tiers, monkeypatch):
-        monkeypatch.setenv(ENV_TIER, "scalar")
-        assert active_tier() == "scalar"  # env wins with no ambient tier
-        with use_tier("vectorized"):
-            assert active_tier() == "vectorized"  # ambient beats env
-            assert resolve_tier("scalar") == "scalar"  # explicit beats both
-        assert active_tier() == "scalar"  # scope restored
-
-    def test_auto_tracks_provider_availability(self, clean_tiers):
-        expected = "compiled" if compiled_available() else "vectorized"
-        assert resolve_tier("auto") == expected
-        assert resolve_tier(None) == expected
-
-    def test_use_tier_yields_resolved_tier(self, clean_tiers):
-        with use_tier("scalar") as tier:
-            assert tier == "scalar"
-        with use_tier("auto") as tier:
-            assert tier in ("compiled", "vectorized")
-
-
-# ----------------------------------------------------------------------
-# Graceful degradation without a native provider
-# ----------------------------------------------------------------------
-class TestNoProviderFallback:
-    def test_provider_is_unavailable(self, no_provider):
-        assert compiled_mod.get_provider() is None
-        assert not compiled_available()
-
-    def test_compiled_request_warns_once_and_degrades(self, no_provider):
-        with pytest.warns(KernelFallbackWarning):
-            assert resolve_tier("compiled") == "vectorized"
-        # Warn-once: the second resolution is silent.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert resolve_tier("compiled") == "vectorized"
-
-    def test_auto_degrades_silently(self, no_provider):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert resolve_tier("auto") == "vectorized"
-
-    def test_warm_compile_returns_none(self, no_provider):
-        assert warm_compile() is None
-
-    def test_reports_byte_identical_with_one_warning(self, no_provider):
-        reference = RunService(use_cache=False, kernel_tier="vectorized")
-        ref_cell = reference.cell("BFS", "FR")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            degraded = RunService(use_cache=False, kernel_tier="compiled")
-            got_cell = degraded.cell("BFS", "FR")
-        fallbacks = [
-            w for w in caught if issubclass(w.category, KernelFallbackWarning)
-        ]
-        assert len(fallbacks) == 1
-        assert canonical_reports_json([got_cell]) == canonical_reports_json(
-            [ref_cell]
-        )
-
-
-# ----------------------------------------------------------------------
-# Cache identity: the tier is a strategy, never an address
-# ----------------------------------------------------------------------
-class TestCacheIdentity:
-    def test_cache_key_identical_across_tiers(self):
-        keys = set()
-        for tier in TIERS + ("auto",):
-            service = RunService(use_cache=False, kernel_tier=tier)
-            request = service.request_for("BFS", "FR")
-            keys.add(service.cache_key(request))
-        assert len(keys) == 1
-
-    def test_envelope_records_resolved_tier(self, tmp_path):
-        cache = str(tmp_path / "cache")
-        service = RunService(cache_dir=cache, kernel_tier="vectorized")
-        service.cell("BFS", "FR")
-        entries = glob.glob(cache + "/**/*.json", recursive=True)
-        assert entries
-        with open(entries[0]) as handle:
-            envelope = json.load(handle)
-        assert envelope["meta"]["kernel_tier"] == "vectorized"
-
-    def test_entries_replay_across_tiers(self, tmp_path):
-        cache = str(tmp_path / "cache")
-        warm = RunService(cache_dir=cache, kernel_tier="vectorized")
-        warm_cell = warm.cell("BFS", "FR")
-        replay = RunService(cache_dir=cache, kernel_tier="scalar")
-        replay_cell = replay.cell("BFS", "FR")
-        assert replay.stats.hits == 1
-        assert canonical_reports_json([replay_cell]) == canonical_reports_json(
-            [warm_cell]
-        )
-
-
-# ----------------------------------------------------------------------
-# Threading: the ambient tier reaches every execution layer
-# ----------------------------------------------------------------------
-class TestTierThreading:
-    def test_cells_identical_across_tiers(self, clean_tiers):
-        canonical = [
-            canonical_reports_json(
-                [RunService(use_cache=False, kernel_tier=tier).cell("BFS", "FR")]
-            )
-            for tier in ("scalar", "vectorized", "auto")
-        ]
-        assert len(set(canonical)) == 1
-
-    def test_partitioned_identical_across_tiers(self, clean_tiers, tiny_graph):
-        base = run_vcpm_partitioned(tiny_graph, ALGORITHMS["SSSP"], shards=2)
-        with use_tier("auto"):
-            tiered = run_vcpm_partitioned(
-                tiny_graph, ALGORITHMS["SSSP"], shards=2
-            )
-        assert np.array_equal(
-            np.nan_to_num(base.properties, posinf=1e30),
-            np.nan_to_num(tiered.properties, posinf=1e30),
-        )
-        assert base.num_iterations == tiered.num_iterations
-
-    def test_shard_tasks_capture_ambient_tier(self, clean_tiers):
-        from repro.vcpm.partitioned import ShardScatterTask
-
-        assert "kernel_tier" in {
-            f.name for f in ShardScatterTask.__dataclass_fields__.values()
-        }
-
-
-# ----------------------------------------------------------------------
-# CLI and daemon surfaces
-# ----------------------------------------------------------------------
-class TestSurfaces:
-    def test_cli_accepts_kernel_tier(self):
-        from repro.cli import build_parser
-
-        args = build_parser().parse_args(["run", "--kernel-tier", "compiled"])
-        assert args.kernel_tier == "compiled"
-        args = build_parser().parse_args(["matrix"])
-        assert args.kernel_tier == "auto"
-
-    def test_cli_rejects_unknown_tier(self):
-        from repro.cli import build_parser
-
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["run", "--kernel-tier", "simd"])
-
-    def test_daemon_reports_tier_and_warm_compile(self, clean_tiers):
-        from repro.harness.serve import DaemonConfig, SimulationDaemon
-
-        daemon = SimulationDaemon(DaemonConfig(journal_path=None, port=0))
-        stats = daemon.stats_dict()
-        assert stats["kernel_tier"] in TIERS
-        if stats["kernel_tier"] == "compiled":
-            assert stats["kernel_provider"] is not None
-            assert stats["warm_compile_s"] is not None
-        else:
-            assert stats["warm_compile_s"] is None
-
-    def test_warm_compile_matches_availability(self, clean_tiers):
-        seconds = warm_compile()
-        if compiled_available():
-            assert seconds is not None and seconds >= 0.0
-        else:
-            assert seconds is None
+        for name in ("simd", "compiled", "", 3):
+            with pytest.raises(ValueError):
+                resolve_tier(name)

@@ -16,7 +16,6 @@ from repro.vcpm import (
     ShardScatterTask,
     run_vcpm,
     run_vcpm_partitioned,
-    run_vcpm_sliced,
     scatter_shard_task,
 )
 from repro.harness.resilience import ResilientRunService, RunManifest
@@ -81,11 +80,6 @@ class TestByteIdenticalInvariant:
             )
             assert baseline.properties.tobytes() == sharded.properties.tobytes()
             assert baseline.iterations == sharded.iterations
-
-    def test_sliced_entry_point_delegates(self, small_powerlaw):
-        baseline = run_vcpm(small_powerlaw, ALGORITHMS["PR"])
-        sliced = run_vcpm_sliced(small_powerlaw, ALGORITHMS["PR"], 128)
-        assert baseline.properties.tobytes() == sliced.properties.tobytes()
 
 
 class TestShardObservability:

@@ -33,7 +33,6 @@ class PlannableStub:
     default_source = 0
     storage = "memory"
     shards = 1
-    kernel_tier = "auto"
     backends = ("stub",)
 
     def __init__(self):
@@ -173,8 +172,6 @@ class TestPlanRejections:
             "name: x\nalgorithms: [BFS]\ngraphs: [RM22]\n"
             "storage: spill\n",
             "name: x\nalgorithms: [BFS]\ngraphs: [RM22]\nshards: 4\n",
-            "name: x\nalgorithms: [BFS]\ngraphs: [RM22]\n"
-            "kernel_tier: compiled\n",
         ]
         for yaml_text in cases:
             status, _, body = submit_plan(
@@ -182,6 +179,16 @@ class TestPlanRejections:
             )
             assert status == 400, yaml_text
             assert body["error"]
+
+    def test_unknown_field_names_field_and_line(self, daemon):
+        status, _, body = submit_plan(
+            daemon.base_url,
+            yaml_text="name: x\nalgorithms: [BFS]\ngraphs: [RM22]\n"
+            "turbo: true\n",
+        )
+        assert status == 400
+        assert body["field"] == "turbo"
+        assert body["line"] == 4
 
     def test_malformed_requests(self, daemon):
         url = daemon.base_url

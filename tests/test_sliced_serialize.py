@@ -1,4 +1,8 @@
-"""Sliced execution invariants and report serialization tests."""
+"""Sliced execution invariants and report serialization tests.
+
+Functionally-sliced execution (Section 4.2.1) is the partitioned engine
+with a single shard, sliced by the Vertex Buffer plan.
+"""
 
 import numpy as np
 import pytest
@@ -10,7 +14,7 @@ from repro.metrics import (
     report_to_dict,
     save_reports,
 )
-from repro.vcpm import ALGORITHMS, run_vcpm, run_vcpm_sliced
+from repro.vcpm import ALGORITHMS, run_vcpm, run_vcpm_partitioned
 
 
 def _finite_equal(a, b):
@@ -25,8 +29,9 @@ class TestSlicedExecution:
     def test_slicing_never_changes_results(self, algo, small_powerlaw):
         unsliced = run_vcpm(small_powerlaw, ALGORITHMS[algo], source=0)
         # Capacity for 64 vertices -> ~8 slices on this graph.
-        sliced = run_vcpm_sliced(
-            small_powerlaw, ALGORITHMS[algo], vb_capacity_bytes=256, source=0
+        sliced = run_vcpm_partitioned(
+            small_powerlaw, ALGORITHMS[algo], shards=1, vb_capacity_bytes=256,
+            source=0,
         )
         assert _finite_equal(unsliced.properties, sliced.properties)
 
@@ -34,15 +39,15 @@ class TestSlicedExecution:
         unsliced = run_vcpm(
             tiny_graph, ALGORITHMS["PR"], max_iterations=5, pr_tolerance=0.0
         )
-        sliced = run_vcpm_sliced(
-            tiny_graph, ALGORITHMS["PR"], vb_capacity_bytes=8,
+        sliced = run_vcpm_partitioned(
+            tiny_graph, ALGORITHMS["PR"], shards=1, vb_capacity_bytes=8,
             max_iterations=5, pr_tolerance=0.0,
         )
         assert np.allclose(unsliced.properties, sliced.properties)
 
     def test_single_slice_is_unsliced(self, tiny_graph):
-        sliced = run_vcpm_sliced(
-            tiny_graph, ALGORITHMS["BFS"],
+        sliced = run_vcpm_partitioned(
+            tiny_graph, ALGORITHMS["BFS"], shards=1,
             vb_capacity_bytes=10**9, source=0,
         )
         unsliced = run_vcpm(tiny_graph, ALGORITHMS["BFS"], source=0)
@@ -53,8 +58,8 @@ class TestSlicedExecution:
         # Slicing changes memory behaviour, not the algorithm: per-
         # iteration edge/update counts are identical.
         unsliced = run_vcpm(small_powerlaw, ALGORITHMS["SSSP"], source=0)
-        sliced = run_vcpm_sliced(
-            small_powerlaw, ALGORITHMS["SSSP"], vb_capacity_bytes=512,
+        sliced = run_vcpm_partitioned(
+            small_powerlaw, ALGORITHMS["SSSP"], shards=1, vb_capacity_bytes=512,
             source=0,
         )
         assert [t.num_edges for t in sliced.iterations] == [
@@ -66,8 +71,8 @@ class TestSlicedExecution:
 
     def test_source_required(self, tiny_graph):
         with pytest.raises(ValueError):
-            run_vcpm_sliced(
-                tiny_graph, ALGORITHMS["BFS"], vb_capacity_bytes=64,
+            run_vcpm_partitioned(
+                tiny_graph, ALGORITHMS["BFS"], shards=1, vb_capacity_bytes=64,
                 source=None,
             )
 

@@ -104,10 +104,6 @@ def spec_dicts(draw):
     if draw(st.booleans()):
         data["shards"] = draw(st.integers(min_value=2, max_value=8))
     if draw(st.booleans()):
-        data["kernel_tier"] = draw(
-            st.sampled_from(["scalar", "vectorized", "compiled"])
-        )
-    if draw(st.booleans()):
         data["priority"] = draw(st.integers(min_value=-5, max_value=5))
     # Exclusion must not empty the (filtered) grid.
     if len(eff_graphs) > 1 and draw(st.booleans()):
@@ -188,7 +184,6 @@ GARBAGE = [
     ("name: x\nshards: 0", "shards", 2),
     ("name: x\nsource: -1", "source", 2),
     ("name: x\nstorage: floppy", "storage", 2),
-    ("name: x\nkernel_tier: warp", "kernel_tier", 2),
     ("name: x\npriority: soon", "priority", 2),
     ("name: x\nselect: [wat]", "select.0", 2),
     ("name: x\noutputs: [fig6]", "outputs", 2),

@@ -1,16 +1,14 @@
 """Cross-engine validation harness and report-record tests."""
 
+import dataclasses
+
 import pytest
 
 from repro.graph import power_law_graph
 from repro.harness.report import ExperimentRecord
 from repro.harness.validation import validate_all, validate_engines
 from repro.harness.figures import FigureResult
-from repro.kernels import compiled_available
-
-#: The compiled rendering of Algorithm 2 joins the sweep only when a
-#: native kernel provider loads in this interpreter.
-_COMPILED_LEG = 1 if compiled_available() else 0
+from repro.kernels import scatter_apply
 
 
 class TestValidateEngines:
@@ -19,7 +17,7 @@ class TestValidateEngines:
         graph = power_law_graph(150, 700, seed=31, name="val")
         outcome = validate_engines(graph, algo)
         assert outcome.agreed, outcome.detail
-        assert outcome.engines_checked == 5 + _COMPILED_LEG
+        assert outcome.engines_checked == 6
 
     def test_without_component_level(self):
         graph = power_law_graph(150, 700, seed=32, name="val")
@@ -27,7 +25,7 @@ class TestValidateEngines:
             graph, "BFS", include_component_level=False
         )
         assert outcome.agreed
-        assert outcome.engines_checked == 4 + _COMPILED_LEG
+        assert outcome.engines_checked == 5
 
     def test_validate_all_battery(self):
         outcomes = validate_all(
@@ -35,6 +33,21 @@ class TestValidateEngines:
         )
         assert len(outcomes) == 10  # 2 graph families x 5 algorithms
         assert all(o.agreed for o in outcomes)
+
+    def test_divergent_batched_kernel_is_reported(self, monkeypatch):
+        real = scatter_apply.run_optimized_batched
+
+        def divergent(*args, **kwargs):
+            result = real(*args, **kwargs)
+            properties = result.properties.copy()
+            properties[-1] += 1.0
+            return dataclasses.replace(result, properties=properties)
+
+        monkeypatch.setattr(scatter_apply, "run_optimized_batched", divergent)
+        graph = power_law_graph(150, 700, seed=31, name="val")
+        outcome = validate_engines(graph, "CC", include_component_level=False)
+        assert not outcome.agreed
+        assert "batched" in outcome.detail
 
 
 class TestExperimentRecord:

@@ -23,7 +23,7 @@ newly registered backend is immediately runnable and comparable.  The
 cache (disable with ``--no-cache``; relocate with ``--cache-dir``) and
 can fan the evaluation matrix out across workers with ``--jobs``.
 
-``matrix`` runs the evaluation matrix through the resilience layer
+``matrix`` exposes the run service's resilience knobs
 (:mod:`repro.harness.resilience`): per-cell timeouts, bounded retries
 with jittered backoff, process→thread→serial executor degradation, and
 a checkpoint manifest (``--checkpoint``/``--resume``) so a killed sweep
@@ -59,7 +59,7 @@ from .graph import datasets
 from .harness import figures, tables  # noqa: F401 - builder registry deps
 from .harness.experiments import ExperimentSuite
 from .harness.io import render_table
-from .harness.specs import OUTPUT_BUILDERS
+from .harness.specs import OUTPUT_BUILDERS, run_builder
 from .vcpm.algorithms import algorithm_names, get_algorithm
 
 __all__ = ["main", "build_parser", "DEFAULT_CACHE_DIR"]
@@ -760,11 +760,7 @@ def _cmd_figure(args: argparse.Namespace) -> int:
     if args.jobs > 1 and any(n in _MATRIX_FIGURES for n in names):
         suite.matrix()  # resolve all cells in parallel up front
     for name in names:
-        fn = _FIGURES[name]
-        try:
-            result = fn(suite)  # type: ignore[call-arg]
-        except TypeError:
-            result = fn()
+        result = run_builder(_FIGURES[name], suite)
         print(result.render())
         print()
     return 0

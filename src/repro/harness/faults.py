@@ -4,8 +4,8 @@ Graph workloads are dominated by data-dependent irregularity, so a
 production evaluation matrix must expect stragglers, dead workers, and
 half-written cache entries as the norm rather than the exception.  This
 module provides the *controlled* versions of those failures, so the
-resilience layer (:mod:`repro.harness.resilience`) can be driven through
-every recovery path by an ordinary test:
+run service's resilience (:mod:`repro.harness.resilience`) can be
+driven through every recovery path by an ordinary test:
 
 ``FaultSpec``
     One parsed fault directive, e.g. ``crash:2`` ("the 2nd executed cell

@@ -33,7 +33,7 @@ import dataclasses
 import json
 import os
 import time
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple, Type
 
 try:  # POSIX only; journal locking degrades to best-effort elsewhere.
     import fcntl
@@ -46,9 +46,13 @@ __all__ = [
     "JobRecord",
     "JournalError",
     "advisory_lock",
+    "locked_append_line",
+    "read_journal",
+    "start_journal",
 ]
 
 JOURNAL_SCHEMA = 1
+_JOURNAL_KIND = "repro-job-journal"
 
 #: Job states a journal replay can produce.  ``submitted`` and
 #: ``started`` are the non-terminal states the daemon re-enqueues.
@@ -91,6 +95,48 @@ def locked_append_line(path: str, text: str) -> None:
             handle.write(text + "\n")
             handle.flush()
             os.fsync(handle.fileno())
+
+
+def start_journal(path: str, kind: str, schema: int, **fields: object) -> None:
+    """(Re)start the journal at ``path`` with its ``{kind, schema}`` header.
+
+    Any previous content is truncated; the header is written with
+    :func:`locked_append_line`, so it is durable once this returns.
+    """
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    with open(path, "w"):
+        pass  # truncate
+    header = {"kind": kind, "schema": schema, **fields}
+    locked_append_line(path, json.dumps(header, sort_keys=True))
+
+
+def read_journal(
+    path: str,
+    kind: str,
+    schema: int,
+    label: str,
+    error: Type[Exception],
+) -> Tuple[Dict[str, object], List[Dict[str, object]]]:
+    """``(header, entries)`` of one JSONL journal.
+
+    The first line must be a ``{kind, schema}`` header matching the
+    arguments, otherwise ``error`` is raised naming the journal's
+    ``label``.  Torn (killed mid-append) and undecodable lines are
+    skipped, so every caller folds only complete, self-contained entries.
+    """
+    with open(path) as handle:
+        lines = handle.read().splitlines()
+    if not lines:
+        raise error(f"{label} {path} is empty")
+    header = _parse_line(lines[0])
+    if (
+        header is None
+        or header.get("kind") != kind
+        or header.get("schema") != schema
+    ):
+        raise error(f"{path} is not a schema-{schema} {label}")
+    entries = [_parse_line(line) for line in lines[1:]]
+    return header, [entry for entry in entries if entry is not None]
 
 
 @dataclasses.dataclass
@@ -150,11 +196,8 @@ class JobJournal:
         self.faults = faults
         self.max_attempts = max_attempts
         self.append_retries = 0
-        parent = os.path.dirname(os.path.abspath(path))
-        os.makedirs(parent, exist_ok=True)
         if not os.path.exists(path) or os.path.getsize(path) == 0:
-            header = {"kind": "repro-job-journal", "schema": JOURNAL_SCHEMA}
-            locked_append_line(path, json.dumps(header, sort_keys=True))
+            start_journal(path, _JOURNAL_KIND, JOURNAL_SCHEMA)
 
     # ------------------------------------------------------------------
     # Writing
@@ -261,28 +304,15 @@ class JobJournal:
 
         Returns ``(records, max_seq)``; ``records`` preserves submission
         order (dicts are insertion-ordered).  Tolerates a torn tail and
-        skips any undecodable line, mirroring
-        :meth:`~repro.harness.resilience.RunManifest.load`.
+        skips any undecodable line (:func:`read_journal`, which
+        :meth:`~repro.harness.resilience.RunManifest.load` shares).
         """
-        with open(path) as handle:
-            lines = handle.read().splitlines()
-        if not lines:
-            raise JournalError(f"journal {path} is empty")
-        header = _parse_line(lines[0])
-        if (
-            header is None
-            or header.get("kind") != "repro-job-journal"
-            or header.get("schema") != JOURNAL_SCHEMA
-        ):
-            raise JournalError(
-                f"{path} is not a schema-{JOURNAL_SCHEMA} job journal"
-            )
+        _, events = read_journal(
+            path, _JOURNAL_KIND, JOURNAL_SCHEMA, "job journal", JournalError
+        )
         records: Dict[str, JobRecord] = {}
         max_seq = 0
-        for line in lines[1:]:
-            event = _parse_line(line)
-            if event is None:
-                continue  # torn tail from a kill mid-append
+        for event in events:
             kind = event.get("event")
             job_id = event.get("id")
             if kind == "submit" and isinstance(job_id, str):

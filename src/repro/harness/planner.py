@@ -37,7 +37,7 @@ Planning guarantees, each load-bearing for a test battery:
     ``RunService.matrix`` (inheriting thread/process fan-out, retries,
     and caching) and then collects every grid cell from the memo, so
     the spec path produces byte-identical ``canonical_reports_json`` to
-    the hand-coded ``run_matrix`` path — the equivalence the plan
+    the hand-coded ``RunService.matrix`` path — the equivalence the plan
     battery in ``tests/test_planner_identity.py`` asserts.
 """
 
@@ -185,18 +185,13 @@ def services_for_spec(
     use_cache: bool = True,
     jobs: int = 1,
     executor: str = "thread",
-    resilience: Optional[object] = None,
-    faults: Optional[object] = None,
-    manifest_path: Optional[str] = None,
-    resume: bool = False,
 ) -> "OrderedDict[str, RunService]":
     """One run service per override point, in grid order.
 
     Each override gets its own service because the backend set (and
     hence every cell's content-addressed key) differs per override;
     services share the persistent ``cache_dir``, so identical cells
-    across plans still deduplicate on disk.  Passing any resilience
-    kwarg upgrades every service to ``ResilientRunService``.
+    across plans still deduplicate on disk.
     """
     common = dict(
         default_source=spec.source,
@@ -207,28 +202,10 @@ def services_for_spec(
         storage=spec.storage,
         shards=spec.shards,
     )
-    resilient = (
-        resilience is not None
-        or faults is not None
-        or manifest_path is not None
+    return OrderedDict(
+        (override.name, RunService(backends_for_override(spec, override), **common))
+        for override in spec.effective_overrides()
     )
-    services: "OrderedDict[str, RunService]" = OrderedDict()
-    for override in spec.effective_overrides():
-        backends = backends_for_override(spec, override)
-        if resilient:
-            from .resilience import ResilientRunService
-
-            services[override.name] = ResilientRunService(
-                backends,
-                policy=resilience,  # type: ignore[arg-type]
-                faults=faults,  # type: ignore[arg-type]
-                manifest_path=manifest_path,
-                resume=resume,
-                **common,
-            )
-        else:
-            services[override.name] = RunService(backends, **common)
-    return services
 
 
 # ======================================================================
@@ -335,7 +312,7 @@ def execute_plan(
     cells replay from the memo/persistent tiers during collection.
     Because cells are independent and deterministic, the returned list
     is byte-identical (under ``canonical_reports_json``) to running the
-    same grid through the hand-coded ``run_matrix`` path.
+    same grid through the hand-coded ``RunService.matrix`` path.
     """
     groups: "OrderedDict[Tuple[str, str], List[str]]" = OrderedDict()
     for cell in plan.schedule:
@@ -357,26 +334,21 @@ def build_outputs(
 ) -> "OrderedDict[str, object]":
     """The spec's named outputs, rendered from the *base* override.
 
-    Matrix-consuming builders read cells through an
-    :class:`~repro.harness.experiments.ExperimentSuite` facade bound to
-    the first override's (already executed) service; static builders
-    that take no suite are called bare, mirroring the CLI's dispatch.
+    Matrix-consuming builders read cells straight from the first
+    override's (already executed) service; static builders that take no
+    suite are called bare (:func:`~repro.harness.specs.run_builder`, the
+    CLI's dispatch too).
     """
-    from .experiments import ExperimentSuite
-    from .specs import OUTPUT_BUILDERS
+    from .specs import OUTPUT_BUILDERS, run_builder
 
     results: "OrderedDict[str, object]" = OrderedDict()
     if not spec.outputs:
         return results
-    first = next(iter(services))
-    suite = ExperimentSuite(use_cache=False)
-    suite.service = services[first]
+    service = services[next(iter(services))]
     for output in spec.outputs:
-        builder = OUTPUT_BUILDERS[output.builder]
-        try:
-            results[output.name] = builder(suite)  # type: ignore[call-arg]
-        except TypeError:
-            results[output.name] = builder()
+        results[output.name] = run_builder(
+            OUTPUT_BUILDERS[output.builder], service
+        )
     return results
 
 

@@ -2,7 +2,7 @@
 
 This module turns the library into a long-running service: an HTTP/JSON
 API (stdlib :mod:`http.server`, no new dependencies) wrapping one warm
-:class:`~repro.harness.resilience.ResilientRunService`, engineered
+:class:`~repro.harness.service.RunService`, engineered
 around the same thesis as the paper — irregular, bursty load needs an
 *explicit* scheduling and load-management layer, not best-effort
 execution.  Four properties, each carried by a dedicated mechanism:
@@ -82,8 +82,8 @@ from ..vcpm.algorithms import get_algorithm
 from .admission import AdmissionController, AdmissionDecision, executor_for_load
 from .faults import FaultInjector
 from .journal import JobJournal, JournalError
-from .resilience import ResilientRunService, RetryPolicy
-from .service import canonical_reports_json
+from .resilience import RetryPolicy
+from .service import RunService, canonical_reports_json
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .specs import ExperimentSpec
@@ -264,14 +264,13 @@ class SimulationDaemon:
     Args:
         config: see :class:`DaemonConfig`.
         service: injectable pre-built service (tests substitute stubs);
-            defaults to a :class:`ResilientRunService` built from
-            ``config``.
+            defaults to a :class:`RunService` built from ``config``.
     """
 
     def __init__(
         self,
         config: Optional[DaemonConfig] = None,
-        service: Optional[ResilientRunService] = None,
+        service: Optional[RunService] = None,
     ) -> None:
         self.config = config or DaemonConfig()
         self.faults: Optional[FaultInjector] = (
@@ -281,18 +280,11 @@ class SimulationDaemon:
         )
         #: Stale spill directories reclaimed at startup (dead owners).
         self.spills_collected: List[str] = gc_stale_spills()
-        # The service constructor only knows pool kinds; "serial" as the
-        # daemon's base tier means a thread service run with jobs=1.
-        service_executor = (
-            self.config.executor
-            if self.config.executor in ("thread", "process")
-            else "thread"
-        )
-        self.service = service or ResilientRunService(
+        self.service = service or RunService(
             cache_dir=self.config.cache_dir,
             use_cache=self.config.use_cache,
-            jobs=self.config.jobs if self.config.executor != "serial" else 1,
-            executor=service_executor,
+            jobs=self.config.jobs,
+            executor=self.config.executor,
             storage=self.config.storage,
             shards=self.config.shards,
             policy=RetryPolicy(

@@ -27,9 +27,18 @@ evaluation results (figures, tables, sweeps, benchmarks, CLI):
        the GIL (requests, backends, and :class:`CellResult` are all
        picklable by construction).
 
+    Every execution and cache store runs under a
+    :class:`~repro.harness.resilience.RetryPolicy` (bounded retries of
+    transient errors, optional per-attempt timeouts), a broken executor
+    tier degrades process → thread → serial, an optional
+    :class:`~repro.harness.resilience.RunManifest` journals completed
+    cells for checkpoint/resume, and an optional
+    :class:`~repro.harness.faults.FaultInjector` drives every recovery
+    path on demand.
+
 Cell execution is deterministic and cells are independent, so a
-``jobs=4`` matrix -- thread or process -- produces bit-identical
-``RunReport`` JSON to a serial run.
+``jobs=4`` matrix -- thread or process, retried or degraded -- produces
+bit-identical ``RunReport`` JSON to a serial run.
 """
 
 from __future__ import annotations
@@ -40,8 +49,11 @@ import json
 import os
 import tempfile
 import threading
+import time
 import warnings
 from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import TimeoutError as FuturesTimeoutError
+from concurrent.futures.process import BrokenProcessPool
 from typing import (
     Callable,
     Dict,
@@ -76,6 +88,13 @@ from ..vcpm.partitioned import (
     ShardScatterTask,
     run_vcpm_partitioned,
     scatter_shard_task,
+)
+from .faults import CellFaultPlan, FaultError, FaultInjector
+from .resilience import (
+    CellTimeoutError,
+    ResilienceWarning,
+    RetryPolicy,
+    RunManifest,
 )
 
 __all__ = [
@@ -130,12 +149,10 @@ def default_backends(
 
 def _cell_in_subprocess(
     backends: Sequence[Backend],
-    algorithm: str,
-    graph_key: str,
-    source: int,
-    storage: str = "memory",
-    shards: int = 1,
-) -> "CellResult":
+    request: "RunRequest",
+    plan: Optional[CellFaultPlan],
+    max_attempts: int,
+) -> Tuple["CellResult", int]:
     """Worker entry point for ``executor="process"`` matrix fan-out.
 
     Module-level so :mod:`concurrent.futures` can pickle it by
@@ -146,16 +163,32 @@ def _cell_in_subprocess(
     already owns the process pool, and nesting pools per cell would
     oversubscribe it; the sharded *reduction structure* (and hence the
     byte-identical result) is preserved either way.
+
+    A fault ``plan`` fires inside the worker and its injected faults are
+    retried here, so the result comes back as ``(cell, attempts_used)``
+    for the parent's retry accounting.  A ``kill`` plan calls
+    ``os._exit``, which surfaces in the parent as ``BrokenProcessPool``
+    and is handled by tier degradation instead.
     """
-    graph = datasets.load(graph_key, storage=storage)
-    return execute_cell(
-        graph,
-        algorithm,
-        graph_key=graph_key,
-        source=source,
-        backends=backends,
-        shards=shards,
-    )
+    attempt = 0
+    while True:
+        attempt += 1
+        try:
+            if plan is not None:
+                plan.fire(attempt, in_worker=True)
+            graph = datasets.load(request.graph_key, storage=request.storage)
+            cell = execute_cell(
+                graph,
+                request.algorithm,
+                graph_key=request.graph_key,
+                source=request.source,
+                backends=backends,
+                shards=request.shards,
+            )
+            return cell, attempt
+        except FaultError:
+            if attempt >= max_attempts:
+                raise
 
 
 def _shard_scatter_in_subprocess(task: ShardScatterTask) -> np.ndarray:
@@ -282,9 +315,9 @@ class CacheStoreWarning(RuntimeWarning):
 class CellExecutionError(RuntimeError):
     """One (algorithm, graph) cell failed for good.
 
-    Raised by :meth:`RunService.matrix` (and the resilience layer once
-    its retries are exhausted) so callers always learn *which* cell of
-    the matrix died, not just the underlying exception.
+    Raised by :meth:`RunService.matrix` (and by every cell once its
+    retries are exhausted) so callers always learn *which* cell of the
+    matrix died, not just the underlying exception.
     """
 
     def __init__(
@@ -355,6 +388,25 @@ def _await_cell_futures(
             on_done(futures[future])
 
 
+class _TierFailure(Exception):
+    """A whole executor tier died; carry the unfinished cells onward."""
+
+    def __init__(
+        self, remaining: List[Tuple[str, str]], cause: BaseException
+    ) -> None:
+        super().__init__(f"{len(remaining)} cells unfinished: {cause!r}")
+        self.remaining = remaining
+        self.cause = cause
+
+
+#: Degradation order per requested executor.
+_TIER_ORDER: Dict[str, Tuple[str, ...]] = {
+    "process": ("process", "thread", "serial"),
+    "thread": ("thread", "serial"),
+    "serial": ("serial",),
+}
+
+
 def _functional_to_dict(result: VCPMResult) -> Dict[str, object]:
     return {
         "algorithm": result.algorithm,
@@ -378,7 +430,7 @@ def _functional_from_dict(data: Dict[str, object]) -> VCPMResult:
 
 
 class RunService:
-    """Cached, parallel executor of the evaluation matrix.
+    """Cached, parallel, fault-tolerant executor of the evaluation matrix.
 
     Args:
         backends: explicit backend instances; defaults to one instance of
@@ -390,10 +442,11 @@ class RunService:
             persistence when ``None``.
         use_cache: master switch for the persistent cache.
         jobs: default worker count for :meth:`matrix`.
-        executor: ``"thread"`` (default) or ``"process"``; how
-            :meth:`matrix` fans out cache-miss cells when ``jobs > 1``.
-            Processes sidestep the GIL, so CPU-bound matrices scale with
-            cores; results are bit-identical either way.
+        executor: ``"thread"`` (default), ``"process"`` or ``"serial"``;
+            how :meth:`matrix` fans out cache-miss cells when
+            ``jobs > 1``.  Processes sidestep the GIL, so CPU-bound
+            matrices scale with cores; results are bit-identical either
+            way.
         storage: graph storage backend for cell execution — ``"memory"``
             (default) or ``"mmap"`` (out-of-core spills, required for the
             paper-scale ``*-FULL`` datasets under a memory budget).
@@ -401,6 +454,18 @@ class RunService:
             ``executor="process"`` shards of a parent-side cell fan out
             across a process pool.  Results are byte-identical for every
             storage × shards combination.
+        policy: the :class:`RetryPolicy` (attempts/backoff/timeout) every
+            cell execution and cache store runs under; only its
+            ``transient`` errors are retried.
+        faults: optional :class:`~repro.harness.faults.FaultInjector`
+            for deterministic failure drills.
+        manifest_path: checkpoint journal location; every completed cell
+            is recorded there during :meth:`matrix`.
+        resume: when True and ``manifest_path`` exists, continue that
+            sweep — its header supplies the matrix shape if the caller
+            passes none, and completed cells replay from the persistent
+            cache instead of re-executing.
+        sleep: injectable backoff sleeper (tests pass a no-op).
     """
 
     def __init__(
@@ -415,10 +480,16 @@ class RunService:
         executor: str = "thread",
         storage: str = "memory",
         shards: int = 1,
+        policy: Optional[RetryPolicy] = None,
+        faults: Optional[FaultInjector] = None,
+        manifest_path: Optional[str] = None,
+        resume: bool = False,
+        sleep: Callable[[float], None] = time.sleep,
     ) -> None:
-        if executor not in ("thread", "process"):
+        if executor not in _TIER_ORDER:
             raise ValueError(
-                f"unknown executor {executor!r}; expected 'thread' or 'process'"
+                f"unknown executor {executor!r}; expected one of "
+                f"{tuple(_TIER_ORDER)}"
             )
         if storage not in STORAGE_KINDS:
             raise ValueError(
@@ -442,6 +513,12 @@ class RunService:
         )
         self.use_cache = use_cache
         self.jobs = max(int(jobs), 1)
+        self.policy = policy or RetryPolicy()
+        self.faults = faults
+        self.manifest_path = manifest_path
+        self.resume = resume
+        self._sleep = sleep
+        self._manifest: Optional[RunManifest] = None
         self.stats = CacheStats()
         self._cells: Dict[Tuple[str, str], CellResult] = {}
         self._lock = threading.Lock()
@@ -602,31 +679,54 @@ class RunService:
             get_recorder().counter("service.stores").add()
 
     def _write_envelope(self, path: str, envelope: Dict[str, object]) -> None:
-        """Atomically write one cache envelope; raises ``OSError``.
+        """Atomically write one cache envelope, retrying ``OSError``.
 
-        Overridden by the resilience layer to add fault-injection hooks
-        and bounded store retries.
+        Fault hooks bracket every attempt; the last ``OSError`` is raised
+        once the policy's attempts are spent.
         """
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        fd, tmp_path = tempfile.mkstemp(
-            dir=os.path.dirname(path), suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w") as handle:
-                json.dump(envelope, handle)
-            os.replace(tmp_path, path)  # atomic under concurrent writers
-        except OSError:
+        attempt = 0
+        while True:
+            attempt += 1
             try:
-                os.unlink(tmp_path)
+                if self.faults is not None:
+                    self.faults.on_store(path)
+                _write_json_atomically(path, envelope)
+                if self.faults is not None:
+                    self.faults.after_store(path)
+                return
             except OSError:
-                pass
-            raise
+                if attempt >= self.policy.max_attempts:
+                    raise
+                with self._lock:
+                    self.stats.retries += 1
+                self._sleep(self.policy.delay(attempt, path))
 
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
     def cell(self, algorithm: str, graph_key: str) -> CellResult:
         """Run (or recall) one cell of the evaluation matrix."""
+        key, request, cell = self._recall(algorithm, graph_key)
+        if cell is not None:
+            return cell
+        with get_recorder().span(
+            "service.cell",
+            track="service",
+            algorithm=request.algorithm,
+            graph=graph_key,
+        ):
+            cell = self._run_cell(request)
+        return self._keep(key, request, cell)
+
+    def _recall(
+        self, algorithm: str, graph_key: str
+    ) -> Tuple[Tuple[str, str], Optional[RunRequest], Optional[CellResult]]:
+        """``(memo key, request, cell)`` from the memo or the disk cache.
+
+        ``cell`` is ``None`` on a miss; hits are counted.  A memo hit
+        returns before the request is built, so its ``request`` is
+        ``None`` too.
+        """
         rec = get_recorder()
         key = self._memo_key(algorithm, graph_key)
         with self._lock:
@@ -635,12 +735,11 @@ class RunService:
                 self.stats.memory_hits += 1
         if cached is not None:
             rec.counter("service.memory_hits").add()
-            return cached
+            return key, None, cached
 
         request = self.request_for(algorithm, graph_key)
-        path = self._cache_path(request) if self.persistent else None
-        if path is not None:
-            cell = self._load_cached(path, request)
+        if self.persistent:
+            cell = self._load_cached(self._cache_path(request), request)
             if cell is not None:
                 if rec.enabled:
                     rec.counter("service.cache_hits").add()
@@ -652,18 +751,16 @@ class RunService:
                     )
                 with self._lock:
                     self.stats.hits += 1
-                    return self._cells.setdefault(key, cell)
+                    return key, request, self._cells.setdefault(key, cell)
+        return key, request, None
 
-        with rec.span(
-            "service.cell",
-            track="service",
-            algorithm=request.algorithm,
-            graph=graph_key,
-        ):
-            cell = self._run_cell(request)
-        rec.counter("service.misses").add()
-        if path is not None:
-            self._store_cached(path, request, cell)
+    def _keep(
+        self, key: Tuple[str, str], request: RunRequest, cell: CellResult
+    ) -> CellResult:
+        """Count, persist and memoize one freshly executed cell."""
+        get_recorder().counter("service.misses").add()
+        if self.persistent:
+            self._store_cached(self._cache_path(request), request, cell)
         with self._lock:
             self.stats.misses += 1
             return self._cells.setdefault(key, cell)
@@ -677,9 +774,13 @@ class RunService:
 
         Process fan-out only engages for parent-side cells under
         ``executor="process"``; otherwise shards run in-process (same
-        reduction structure, same bytes).  The resilience layer wraps the
-        returned runner to drop per-shard checkpoint breadcrumbs.
+        reduction structure, same bytes).  With an open manifest the
+        runner also journals the first completion of each shard index,
+        so a killed paper-scale sweep shows how far each cell's shard
+        fan-out progressed.
         """
+        runner: Optional[ShardRunner] = None
+        graph_ref = cleanup = None
         if (
             request.shards > 1
             and self.executor == "process"
@@ -687,17 +788,102 @@ class RunService:
         ):
             # Dynamic graphs live only in this process's registry, so
             # their shards stay in-process (same bytes either way).
-            runner = _ProcessShardRunner(min(self.jobs, request.shards))
-            return runner, (request.graph_key, request.storage), runner.close
-        return None, None, None
+            pool = _ProcessShardRunner(min(self.jobs, request.shards))
+            runner, cleanup = pool, pool.close
+            graph_ref = (request.graph_key, request.storage)
+        manifest = self._manifest
+        if manifest is None or request.shards <= 1:
+            return runner, graph_ref, cleanup
+        base = runner or (
+            lambda tasks: [scatter_shard_task(t, graph) for t in tasks]
+        )
+
+        def marking_runner(tasks):
+            segments = base(tasks)
+            for task in tasks:
+                manifest.mark_shard(
+                    request.algorithm,
+                    request.graph_key,
+                    task.shard_index,
+                    request.shards,
+                )
+            return segments
+
+        return marking_runner, graph_ref, cleanup
 
     def _run_cell(self, request: RunRequest) -> CellResult:
-        """Execute one genuine cache miss.
+        """Execute one genuine cache miss under the retry policy.
 
-        The single seam every cell execution funnels through: the
-        resilience layer overrides this to add fault hooks, per-attempt
-        timeouts, and bounded retries around the same computation.
+        The single seam every in-process cell execution funnels through.
+        Transient errors are retried with the policy's backoff; once the
+        attempts are spent the cell fails as :class:`CellExecutionError`.
+        Any other error propagates at once.
         """
+        token = f"{request.algorithm}/{request.graph_key}"
+        attempt = 0
+        while True:
+            attempt += 1
+            try:
+                return self._attempt_cell(request, attempt)
+            except self.policy.transient as exc:
+                if attempt >= self.policy.max_attempts:
+                    raise CellExecutionError(
+                        request.algorithm,
+                        request.graph_key,
+                        detail=repr(exc),
+                        attempts=attempt,
+                    ) from exc
+                with self._lock:
+                    self.stats.retries += 1
+                rec = get_recorder()
+                if rec.enabled:
+                    rec.counter("resilience.retries").add()
+                    rec.event(
+                        "resilience.retry",
+                        track="service",
+                        cell=token,
+                        attempt=attempt,
+                        error=type(exc).__name__,
+                    )
+                self._sleep(self.policy.delay(attempt, token))
+
+    def _attempt_cell(self, request: RunRequest, attempt: int) -> CellResult:
+        """One attempt, under the per-cell deadline when configured."""
+        if self.policy.timeout is None:
+            return self._attempt_body(request, attempt)
+        pool = ThreadPoolExecutor(max_workers=1)
+        try:
+            future = pool.submit(self._attempt_body, request, attempt)
+            try:
+                return future.result(timeout=self.policy.timeout)
+            except FuturesTimeoutError:
+                future.cancel()
+                with self._lock:
+                    self.stats.timeouts += 1
+                rec = get_recorder()
+                if rec.enabled:
+                    rec.counter("resilience.timeouts").add()
+                    rec.event(
+                        "resilience.timeout",
+                        track="service",
+                        cell=f"{request.algorithm}/{request.graph_key}",
+                        attempt=attempt,
+                    )
+                raise CellTimeoutError(
+                    f"cell ({request.algorithm}, {request.graph_key}) "
+                    f"attempt {attempt} exceeded {self.policy.timeout}s; "
+                    "attempt abandoned"
+                ) from None
+        finally:
+            # Abandon, don't wait: a wedged attempt thread must not block
+            # the retry (it is left to finish -- or hang -- in the dark).
+            pool.shutdown(wait=False)
+
+    def _attempt_body(self, request: RunRequest, attempt: int) -> CellResult:
+        if self.faults is not None:
+            self.faults.on_cell_start(
+                request.algorithm, request.graph_key, attempt
+            )
         graph = datasets.load(request.graph_key, storage=request.storage)
         runner, graph_ref, cleanup = self._shard_runner_for(request, graph)
         try:
@@ -715,6 +901,9 @@ class RunService:
             if cleanup is not None:
                 cleanup()
 
+    # ------------------------------------------------------------------
+    # Matrix orchestration: tiers + checkpointing
+    # ------------------------------------------------------------------
     def matrix(
         self,
         algorithms: Optional[Sequence[str]] = None,
@@ -724,90 +913,225 @@ class RunService:
     ) -> List[CellResult]:
         """All cells of the chosen sub-matrix, algorithm-major order.
 
-        With ``jobs > 1``, unresolved cells fan out across a thread pool
-        (or, with ``executor="process"``, a process pool that bypasses
-        the GIL); results are identical to a serial run (cells are
-        independent and deterministic), only wall-clock changes.
+        With ``jobs > 1``, unresolved cells fan out on the requested
+        executor tier; when a whole tier breaks, its unfinished cells
+        degrade process → thread → serial.  Results are identical to a
+        serial run (cells are independent and deterministic), only
+        wall-clock changes.
         """
+        workers = self.jobs if jobs is None else max(int(jobs), 1)
+        executor = self.executor if executor is None else executor
+        manifest = self._open_manifest(algorithms, graph_keys)
+        if manifest is not None:
+            algorithms = list(algorithms) if algorithms else manifest.algorithms
+            graph_keys = list(graph_keys) if graph_keys else manifest.graph_keys
         algorithms = list(algorithms or algorithm_names())
         graph_keys = list(graph_keys or REAL_WORLD_KEYS)
         pairs = [(a, g) for a in algorithms for g in graph_keys]
-        workers = self.jobs if jobs is None else max(int(jobs), 1)
-        executor = self.executor if executor is None else executor
-        if workers > 1 and len(pairs) > 1:
-            unique = list(dict.fromkeys(pairs))
-            if executor == "process":
-                self._resolve_in_processes(unique, workers)
-            else:
-                with ThreadPoolExecutor(max_workers=workers) as pool:
-                    futures = {
-                        pool.submit(self.cell, algorithm, graph_key): (
-                            algorithm,
-                            graph_key,
-                        )
-                        for algorithm, graph_key in unique
-                    }
-                    _await_cell_futures(futures)
-        return [self.cell(a, g) for a, g in pairs]
+        unique = list(dict.fromkeys(pairs))
+        mode = executor if workers > 1 and len(unique) > 1 else "serial"
+        remaining = unique
+        for tier in _TIER_ORDER[mode]:
+            if not remaining:
+                break
+            try:
+                self._run_tier(tier, remaining, workers, manifest)
+                remaining = []
+            except _TierFailure as failure:
+                with self._lock:
+                    self.stats.degradations += 1
+                remaining = failure.remaining
+                rec = get_recorder()
+                if rec.enabled:
+                    rec.counter("resilience.degradations").add()
+                    rec.event(
+                        "resilience.degradation",
+                        track="service",
+                        tier=tier,
+                        remaining=len(remaining),
+                    )
+                warnings.warn(
+                    f"executor tier {tier!r} broke ({failure.cause!r}); "
+                    f"degrading {len(remaining)} unfinished cells to the "
+                    "next tier",
+                    ResilienceWarning,
+                    stacklevel=2,
+                )
+        # Every cell is resolved now: read them back from the memo
+        # without counting a second (memory) hit per cell.  ``cell`` only
+        # runs again if a dynamic graph changed generation meanwhile.
+        keys = [self._memo_key(a, g) for a, g in pairs]
+        with self._lock:
+            found = [self._cells.get(key) for key in keys]
+        return [
+            cell if cell is not None else self.cell(a, g)
+            for cell, (a, g) in zip(found, pairs)
+        ]
 
-    #: The hand-coded matrix path under the name the planner-equivalence
-    #: battery compares against (``spec path == run_matrix path``).
-    run_matrix = matrix
+    def _open_manifest(
+        self,
+        algorithms: Optional[Sequence[str]],
+        graph_keys: Optional[Sequence[str]],
+    ) -> Optional[RunManifest]:
+        if not self.manifest_path:
+            return None
+        if self._manifest is not None:
+            return self._manifest
+        if self.resume and os.path.exists(self.manifest_path):
+            self._manifest = RunManifest.load(self.manifest_path)
+        else:
+            self._manifest = RunManifest.start(
+                self.manifest_path,
+                list(algorithms or algorithm_names()),
+                list(graph_keys or REAL_WORLD_KEYS),
+            )
+        return self._manifest
 
-    def _resolve_in_processes(
-        self, pairs: Sequence[Tuple[str, str]], workers: int
+    def _mark(
+        self,
+        manifest: Optional[RunManifest],
+        algorithm: str,
+        graph_key: str,
     ) -> None:
-        """Execute unresolved cells in a process pool, then memoize.
+        if manifest is None or manifest.is_completed(algorithm, graph_key):
+            return
+        manifest.mark(
+            algorithm,
+            graph_key,
+            cache_key=self.cache_key(self.request_for(algorithm, graph_key)),
+        )
+
+    def _run_tier(
+        self,
+        tier: str,
+        pairs: List[Tuple[str, str]],
+        workers: int,
+        manifest: Optional[RunManifest],
+    ) -> None:
+        if tier == "process":
+            self._run_tier_process(pairs, workers, manifest)
+        elif tier == "thread":
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                futures = {
+                    pool.submit(self.cell, algorithm, graph_key): (
+                        algorithm,
+                        graph_key,
+                    )
+                    for algorithm, graph_key in pairs
+                }
+                _await_cell_futures(
+                    futures,
+                    on_done=lambda cell: self._mark(manifest, *cell),
+                )
+        else:
+            for algorithm, graph_key in pairs:
+                self.cell(algorithm, graph_key)
+                self._mark(manifest, algorithm, graph_key)
+
+    def _run_tier_process(
+        self,
+        pairs: List[Tuple[str, str]],
+        workers: int,
+        manifest: Optional[RunManifest],
+    ) -> None:
+        """Process tier: parent-side caches, worker-side fault plans.
 
         The memo and persistent-cache tiers are consulted in the parent
-        first, so worker processes only ever run genuine cache misses;
-        finished cells are stored exactly as the serial path stores them.
+        first, so worker processes only ever run genuine cache misses.
+        Raises :class:`_TierFailure` carrying the unfinished cells when
+        the pool itself breaks (e.g. a worker died with ``os._exit``),
+        so :meth:`matrix` can degrade instead of aborting the sweep.
         """
-        pending: List[Tuple[Tuple[str, str], RunRequest, Optional[str]]] = []
+        pending = []
         for algorithm, graph_key in pairs:
             if datasets.is_dynamic(graph_key):
-                # A worker process cannot see this process's dynamic
-                # registrations; the cell runs in-parent on the serial
-                # pass that follows the fan-out.
+                # Worker processes cannot see this process's dynamic
+                # registrations, so dynamic cells run in-parent (the
+                # serial path still applies retries and fault hooks).
+                self.cell(algorithm, graph_key)
+                self._mark(manifest, algorithm, graph_key)
                 continue
-            key = self._memo_key(algorithm, graph_key)
-            with self._lock:
-                if key in self._cells:
-                    continue
-            request = self.request_for(algorithm, graph_key)
-            path = self._cache_path(request) if self.persistent else None
-            if path is not None:
-                cached = self._load_cached(path, request)
-                if cached is not None:
-                    with self._lock:
-                        self.stats.hits += 1
-                        self._cells.setdefault(key, cached)
-                    continue
-            pending.append((key, request, path))
+            key, request, cached = self._recall(algorithm, graph_key)
+            if cached is not None:
+                self._mark(manifest, algorithm, graph_key)
+                continue
+            plan = (
+                self.faults.plan_for(request.algorithm, graph_key)
+                if self.faults is not None
+                else None
+            )
+            pending.append((algorithm, graph_key, key, request, plan or None))
         if not pending:
             return
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        pool = ProcessPoolExecutor(max_workers=workers)
+        finished = set()
+        try:
             futures = [
                 (
                     pool.submit(
                         _cell_in_subprocess,
                         self.backends,
-                        request.algorithm,
-                        request.graph_key,
-                        request.source,
-                        request.storage,
-                        request.shards,
+                        request,
+                        plan,
+                        self.policy.max_attempts,
                     ),
+                    algorithm,
+                    graph_key,
                     key,
                     request,
-                    path,
                 )
-                for key, request, path in pending
+                for algorithm, graph_key, key, request, plan in pending
             ]
-            for future, key, request, path in futures:
-                cell = future.result()
-                if path is not None:
-                    self._store_cached(path, request, cell)
-                with self._lock:
-                    self.stats.misses += 1
-                    self._cells.setdefault(key, cell)
+            for future, algorithm, graph_key, key, request in futures:
+                try:
+                    cell, attempts = future.result(
+                        timeout=self.policy.timeout
+                    )
+                except FuturesTimeoutError:
+                    with self._lock:
+                        self.stats.timeouts += 1
+                    # Abandon the worker's attempt; finish the cell in
+                    # the parent under the full retry machinery.
+                    self.cell(algorithm, graph_key)
+                except BrokenProcessPool as exc:
+                    raise _TierFailure(
+                        [
+                            (a, g)
+                            for _, a, g, k, _ in futures
+                            if k not in finished
+                        ],
+                        exc,
+                    ) from exc
+                except Exception as exc:
+                    raise CellExecutionError(
+                        algorithm,
+                        graph_key,
+                        detail=repr(exc),
+                        attempts=self.policy.max_attempts,
+                    ) from exc
+                else:
+                    if attempts > 1:
+                        with self._lock:
+                            self.stats.retries += attempts - 1
+                    self._keep(key, request, cell)
+                finished.add(key)
+                self._mark(manifest, algorithm, graph_key)
+        finally:
+            # wait=False: a hung or dead worker must not block shutdown.
+            pool.shutdown(wait=False)
+
+
+def _write_json_atomically(path: str, payload: Dict[str, object]) -> None:
+    """Write ``payload`` as JSON to ``path`` via a same-directory rename."""
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    fd, tmp_path = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as handle:
+            json.dump(payload, handle)
+        os.replace(tmp_path, path)  # atomic under concurrent writers
+    except OSError:
+        try:
+            os.unlink(tmp_path)
+        except OSError:
+            pass
+        raise

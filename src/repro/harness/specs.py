@@ -60,10 +60,11 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import inspect
 import json
 import os
 import re
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .. import backends as backend_registry
 from ..graph import datasets
@@ -83,6 +84,7 @@ __all__ = [
     "load_spec",
     "load_yaml",
     "parse_spec",
+    "run_builder",
     "spec_digest",
     "spec_from_dict",
     "spec_to_dict",
@@ -658,7 +660,7 @@ class ExperimentSpec:
 
         Canonical order is override-major, then algorithm-major with
         graphs minor — exactly the cell order of
-        :meth:`repro.harness.service.RunService.run_matrix`, which is
+        :meth:`repro.harness.service.RunService.matrix`, which is
         what makes spec-driven reports byte-comparable to the hand-coded
         path.
         """
@@ -750,6 +752,19 @@ class _Builders(Mapping):
 
 #: Named table/figure builders a spec ``outputs`` clause may reference.
 OUTPUT_BUILDERS: Mapping = _Builders()
+
+
+def run_builder(builder: Callable[..., object], suite: object) -> object:
+    """Call one output builder, passing ``suite`` only if it reads cells.
+
+    Matrix builders name their first parameter ``suite`` and only call
+    its ``.cell``, so an ``ExperimentSuite`` or a ``RunService`` both
+    serve; static builders (tables, Figs. 2, 8 and 14) take no suite.
+    Deciding from the signature means a ``TypeError`` raised inside a
+    builder propagates instead of re-running it without its suite.
+    """
+    first = next(iter(inspect.signature(builder).parameters), None)
+    return builder(suite) if first == "suite" else builder()
 
 
 class _Context:

@@ -15,7 +15,7 @@ class CacheStats:
     """Counters exposed by ``RunService.stats``.
 
     The first block tracks the reuse tiers of the run service; the
-    second tracks the resilience layer (``repro.harness.resilience``):
+    second tracks its resilience (``repro.harness.resilience``):
     how often cells had to be retried, timed out, or fell back to a
     less parallel executor, and how often persisting a result failed.
     """

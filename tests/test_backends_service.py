@@ -205,6 +205,25 @@ class TestParallelMatrix:
         assert suite.service.stats.memory_hits == 1
 
 
+class TestMatrixCounting:
+    @pytest.mark.parametrize(
+        "jobs,executor",
+        [(2, "serial"), (2, "thread"), (2, "process")],
+        ids=["serial", "thread", "process"],
+    )
+    def test_cold_matrix_counts_no_memory_hits(self, jobs, executor):
+        service = RunService(use_cache=False, jobs=jobs, executor=executor)
+        cells = service.matrix(["BFS", "CC"], ["RM12"])
+        assert [(c.algorithm, c.graph_key) for c in cells] == [
+            ("BFS", "RM12"),
+            ("CC", "RM12"),
+        ]
+        assert (service.stats.misses, service.stats.memory_hits) == (2, 0)
+        # A second pass is served from the memo, one hit per cell.
+        service.matrix(["BFS", "CC"], ["RM12"])
+        assert service.stats.memory_hits == 2
+
+
 class TestProcessExecutor:
     def test_process_matrix_matches_serial_bit_exact(self):
         serial = RunService(use_cache=False)

@@ -177,10 +177,12 @@ class TestCommands:
             assert system in out
 
     def test_figure_static(self, capsys):
-        assert main(["figure", "fig8", "table2"]) == 0
+        # fig2 takes a graph key first, not a suite: it must be called bare.
+        assert main(["figure", "fig8", "table2", "fig2"]) == 0
         out = capsys.readouterr().out
         assert "power/area" in out
         assert "Process_Edge" in out
+        assert "Fig. 2" in out
 
 
 class TestChurnCommand:
@@ -450,3 +452,47 @@ class TestSpecCommands:
             assert "daemon rejected plan (400)" in capsys.readouterr().err
         finally:
             daemon.stop(drain=False)
+
+
+class TestBuilderDispatch:
+    """Figure/output builders get the suite by signature, never by retry."""
+
+    def test_type_error_inside_a_figure_propagates(self, monkeypatch):
+        from repro import cli
+
+        calls = []
+
+        def broken(suite=None):
+            calls.append(suite)
+            raise TypeError("raised inside the figure")
+
+        monkeypatch.setitem(cli._FIGURES, "fig6", broken)
+        with pytest.raises(TypeError, match="inside the figure"):
+            main(["figure", "fig6", "--no-cache"])
+        # Called once, with the CLI's suite: not re-run bare (which
+        # would build a default, uncached suite and recompute).
+        assert len(calls) == 1 and calls[0] is not None
+
+    def test_static_builders_are_called_bare(self):
+        from repro.harness.specs import run_builder
+
+        assert run_builder(lambda: "static", object()) == "static"
+        assert run_builder(lambda graph_key="LJ": graph_key, object()) == "LJ"
+
+    def test_build_outputs_passes_the_override_service(self, monkeypatch):
+        from repro.harness import planner, specs
+
+        seen = []
+
+        def probe(suite):
+            seen.append(suite)
+            return "ok"
+
+        monkeypatch.setattr(specs, "_builders", lambda: {"probe": probe})
+        spec = specs.parse_spec(
+            "name: outputs\nalgorithms: [BFS]\ngraphs: [RM12]\n"
+            "outputs:\n  result: probe\n"
+        )
+        services = planner.services_for_spec(spec, use_cache=False)
+        assert dict(planner.build_outputs(spec, services)) == {"result": "ok"}
+        assert seen == [services["base"]]

@@ -18,7 +18,7 @@ from repro.vcpm import (
     run_vcpm_partitioned,
     scatter_shard_task,
 )
-from repro.harness.resilience import ResilientRunService, RunManifest
+from repro.harness.resilience import RunManifest
 from repro.harness.service import RunService, canonical_reports_json
 
 
@@ -194,7 +194,7 @@ class TestServiceIntegration:
 
     def test_resilient_service_with_shards_matches(self, tmp_path):
         baseline = self._reports()
-        service = ResilientRunService(
+        service = RunService(
             use_cache=False,
             shards=3,
             manifest_path=str(tmp_path / "sweep.jsonl"),
@@ -242,7 +242,7 @@ class TestManifestShardBreadcrumbs:
 
     def test_resilient_run_records_shard_progress(self, tmp_path):
         path = str(tmp_path / "sweep.jsonl")
-        service = ResilientRunService(
+        service = RunService(
             use_cache=False, shards=3, manifest_path=path
         )
         service.matrix(["BFS"], ["FR"])
